@@ -165,9 +165,10 @@ type InferResult struct {
 	TasksProcessed int
 	// FailedRanks and RequeuedTasks record injected-fault recovery.
 	FailedRanks, RequeuedTasks int
-	// JoinedRanks, LeftRanks, and StolenTasks record elastic membership on
-	// the TCP runtime: workers admitted mid-run, graceful departures (not
-	// failures), and tasks moved between rank pools by stealing.
+	// JoinedRanks and LeftRanks record elastic membership on the TCP
+	// runtime: workers admitted mid-run and graceful departures (not
+	// failures). StolenTasks counts tasks moved between rank pools by
+	// stealing, in-process or over TCP.
 	JoinedRanks, LeftRanks, StolenTasks int
 }
 

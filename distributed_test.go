@@ -461,31 +461,36 @@ func TestChurnElasticJoinByteIdentical(t *testing.T) {
 	baseHash := distHash(sv, init, base.Tasks, icfg, 1)
 
 	for _, workers := range []int{2, 4} {
-		// The fleet dials in three sentinel-ordered waves, so the schedule
-		// is deterministic on any machine speed. Wave 1: worker 0, killed on
-		// its first assignment, touching `died` just before the SIGKILL.
-		// Wave 2, gated on `died`: the elastic joiner (and, at 4 workers,
-		// the leaver, which departs after one completed task) — the victim's
-		// task is still outstanding, so the coordinator is provably mid-run
-		// when the join handshake arrives, and with at least three tasks in
-		// the run the leaver is guaranteed an assignment before the pool
-		// drains. Wave 3, gated on wave 2's first assignment: the plain
-		// survivors, which must dial a live coordinator too (the wave-2
+		// The fleet dials in sentinel-ordered waves, each released by one
+		// worker's first assignment, so no two workers race for a task the
+		// ordering depends on and the schedule is deterministic on any
+		// machine speed. First: worker 0, killed on its first assignment,
+		// touching `died` just before the SIGKILL. At 4 workers, next,
+		// gated on `died`: the leaver alone, which departs after one
+		// completed task. As the only connected worker it draws a task
+		// (touching `leaving`) — sharing that wave with the joiner once let
+		// the joiner drain the run's few tasks first, so the leaver never
+		// left. Then, gated on `leaving` at 4 workers and on `died` at 2:
+		// the elastic joiner. At least two tasks are still uncommitted, so
+		// the coordinator is provably mid-run when the join handshake
+		// arrives, and with no other worker connected the joiner draws a
+		// task too, touching `working`. Last, gated on `working`: the plain
+		// survivors, which must dial a live coordinator too (the joiner's
 		// task is in hand when `working` appears).
 		dir := t.TempDir()
 		died := filepath.Join(dir, "victim-died")
-		working := filepath.Join(dir, "wave2-working")
+		leaving := filepath.Join(dir, "leaver-working")
+		working := filepath.Join(dir, "joiner-working")
 		specs := []testWorkerSpec{{killAfter: 0, touchFile: died}}
-		for i := 1; i < workers; i++ {
-			sp := testWorkerSpec{killAfter: -1, startFile: working}
-			if workers == 4 && i == 1 {
-				sp.leaveAfter = 1
-				sp.startFile = died
-				sp.touchFile = working
-			}
-			specs = append(specs, sp)
+		joiner := testWorkerSpec{killAfter: -1, elastic: true, startFile: died, touchFile: working}
+		if workers == 4 {
+			specs = append(specs, testWorkerSpec{killAfter: -1, leaveAfter: 1, startFile: died, touchFile: leaving})
+			joiner.startFile = leaving
 		}
-		specs = append(specs, testWorkerSpec{killAfter: -1, elastic: true, startFile: died, touchFile: working})
+		for len(specs) < workers {
+			specs = append(specs, testWorkerSpec{killAfter: -1, startFile: working})
+		}
+		specs = append(specs, joiner)
 
 		res, cmds, err := runTCPChurn(t, sv, init, icfg, InferOptions{}, specs)
 		if err != nil {

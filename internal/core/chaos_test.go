@@ -3,7 +3,9 @@ package core
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
+	"time"
 
 	"celeste/internal/dtree"
 	"celeste/internal/model"
@@ -126,6 +128,54 @@ func TestAllRanksDeadIsAnError(t *testing.T) {
 	_, err := RunWithOptions(sv, noisy, tasks, cfg, RunOptions{Faults: fp})
 	if err == nil {
 		t.Fatal("run with every rank killed reported success")
+	}
+	if !strings.Contains(err.Error(), "stranded") {
+		t.Fatalf("all-dead run failed without the stranded diagnostic: %v", err)
+	}
+}
+
+// TestSurvivorWakesForRequeuedTask covers the dry-pool wait: the doomed rank
+// stalls with its first task in hand while the survivor drains everything
+// else and waits, then dies without committing. The death must wake the
+// survivor, which picks up the requeued task — no hang, same catalog.
+func TestSurvivorWakesForRequeuedTask(t *testing.T) {
+	sv, noisy, tasks := chaosSetup(t)
+	cfg := chaosConfig(1, 2)
+	base := Run(sv, noisy, tasks, cfg)
+	fp := &dtree.FaultPlan{Faults: []dtree.Fault{
+		{Rank: 1, AfterTasks: 0, DelaySeconds: 0.3},
+		{Rank: 1, AfterTasks: 0, Kill: true},
+	}}
+	// As in TestKilledRanksRecoverIdentically, the survivor can drain the
+	// run before the doomed rank first draws a task; retry that race.
+	for attempt := 1; ; attempt++ {
+		type outcome struct {
+			res *RunResult
+			err error
+		}
+		done := make(chan outcome, 1)
+		go func() {
+			res, err := RunWithOptions(sv, noisy, tasks, cfg, RunOptions{Faults: fp})
+			done <- outcome{res, err}
+		}()
+		var o outcome
+		select {
+		case o = <-done:
+		case <-time.After(2 * time.Minute):
+			t.Fatal("run hung: the survivor never woke for the requeued task")
+		}
+		if o.err != nil {
+			t.Fatal(o.err)
+		}
+		catalogsEqual(t, base.Catalog, o.res.Catalog, "survivor after requeue")
+		if o.res.FailedRanks == 1 && o.res.RequeuedTasks > 0 {
+			break
+		}
+		if attempt >= 5 {
+			t.Fatalf("kill never landed in %d attempts (FailedRanks=%d, RequeuedTasks=%d)",
+				attempt, o.res.FailedRanks, o.res.RequeuedTasks)
+		}
+		t.Logf("attempt %d: the doomed rank drew no work; retrying", attempt)
 	}
 }
 

@@ -1,15 +1,16 @@
-// The coordinator backend: the TCP runtime's view of a run. The serve
-// backend exposes the exact runState and Dtree scheduler the in-process
-// runtime uses — task pull, idempotent commit with the checkpoint hook,
-// requeue-on-death, the stage barrier with its frozen-input discipline — to
-// internal/net's coordinator, which speaks the wire protocol to real worker
-// processes. The two runtimes therefore differ only in transport, which is
-// why their catalogs are byte-identical (the property the root-level
+// The run backend: the one scheduler, commit and retire state machine every
+// run goes through. serveBackend owns the Dtree scheduler, task pull with
+// stealing, idempotent commit with the checkpoint hook, requeue on death,
+// elastic join and leave, and the stage barrier with its frozen-input
+// discipline. Two transports drive it: goroutine ranks in this process call
+// it directly (runLocal), and internal/net's coordinator speaks the wire
+// protocol to real worker processes in front of it (serveTCP). The
+// transports differ only in how a rank reaches the backend, which is why
+// their catalogs are byte-identical (the property the root-level
 // differential tests enforce).
 package core
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -19,109 +20,92 @@ import (
 	cnet "celeste/internal/net"
 	"celeste/internal/partition"
 	"celeste/internal/pgas"
+	"celeste/internal/survey"
 )
 
-// serveTCP runs the coordinator side of a TCP run: it serves the stage loop
-// to cfg.Processes remote workers instead of in-process goroutine ranks.
-// Stage semantics, checkpoint capture, and failure recovery are the
-// in-process runtime's own machinery.
-func (cfg Config) serveTCP(tasks []partition.Task, stages [][]int, st *runState,
-	tr *cnet.Transport, res *RunResult) error {
+// runLocal is the in-memory transport: cfg.Processes goroutine ranks loop
+// pull → execute → commit against the backend directly, with no sockets and
+// no encoding, reading and writing the PGAS arrays through their ranks'
+// shared-memory views. A FaultPlan kill is a transport fault: the doomed
+// rank executes its task, never commits it, and is failed — what the
+// coordinator does when a worker's connection drops. A FaultPlan delay is a
+// sleep before the task.
+func (cfg Config) runLocal(sv *survey.Survey, catalog []model.CatalogEntry, priors *model.Priors,
+	tasks []partition.Task, b *serveBackend, faults *dtree.FaultPlan) {
 
-	if tr.Listener == nil {
-		return errors.New("core: Transport requires a Listener")
+	var wg sync.WaitGroup
+	for rank := 0; rank < cfg.Processes; rank++ {
+		wg.Add(1)
+		go func(rank int) {
+			defer wg.Done()
+			killAfter, doomed := faults.KillAfter(rank)
+			for completed := 0; ; {
+				g, status, gen := b.pull(rank, false)
+				if status == cnet.NextWait {
+					// Dry pool: steal from the most-loaded live rank before
+					// waiting. Task purity keeps the catalog byte-identical
+					// whichever rank ends up executing a task.
+					g, status, gen = b.pull(rank, true)
+				}
+				switch status {
+				case cnet.NextWait:
+					// Unfinished tasks ride on other ranks; one of them
+					// commits or dies (requeueing its work) before long.
+					b.await(gen)
+					continue
+				case cnet.NextShutdown, cnet.NextAbort:
+					return
+				}
+				if d := faults.DelayFor(rank, completed); d > 0 {
+					time.Sleep(time.Duration(d * float64(time.Second)))
+				}
+				// The stage cannot advance while this task is uncommitted, so
+				// the arrays read here are the task's own stage's.
+				stats, err := cfg.ExecTask(sv, catalog, priors, &tasks[g], b.st.prev.View(rank), b.st.cur.View(rank))
+				if err != nil {
+					// Local views never fail; an error here is a programming bug.
+					panic(err)
+				}
+				if doomed && completed >= killAfter {
+					b.Fail(rank)
+					return
+				}
+				b.commit(rank, g, stats)
+				completed++
+			}
+		}(rank)
 	}
-	b := &serveBackend{
-		procs:       cfg.Processes,
-		st:          st,
-		stages:      stages,
-		done:        make(chan struct{}),
-		s:           st.stage,
-		leftRank:    make(map[int]bool),
-		rejoinGrace: tr.RejoinGrace,
-	}
-	for _, d := range st.done {
-		if !d {
-			b.totalLeft++
-		}
-	}
+	wg.Wait()
+}
+
+// serveTCP is the TCP transport: it serves the backend to remote worker
+// processes until the run reaches a terminal state. It returns only the
+// listener's error; how the run itself ended is the backend's result.
+func (cfg Config) serveTCP(nTasks int, b *serveBackend, tr *cnet.Transport) error {
+	b.rejoinGrace = tr.RejoinGrace
 	b.welcome = cnet.RunConfig{
 		Workers:    uint32(cfg.Processes),
 		Width:      model.ParamDim,
 		Rounds:     uint32(cfg.Rounds),
 		MaxIter:    uint32(cfg.Fit.MaxIter),
-		NTasks:     uint64(len(tasks)),
-		RunHash:    st.hash,
+		NTasks:     uint64(nTasks),
+		RunHash:    b.st.hash,
 		Seed:       cfg.Seed,
 		TargetWork: tr.TargetWork,
 		BatchFrac:  cfg.BatchFrac,
 		GradTol:    cfg.Fit.GradTol,
 	}
-	b.setupStageLocked()
-	if b.totalLeft == 0 {
-		// Nothing to schedule (e.g. a checkpoint taken at the very end):
-		// don't make workers connect for an empty run.
-		b.finish()
-	}
-
-	err := cnet.Serve(tr.Listener, b, cnet.ServeOptions{
+	return cnet.Serve(tr.Listener, b, cnet.ServeOptions{
 		DeadAfter:    tr.DeadAfter,
 		ConnectGrace: tr.ConnectGrace,
 	})
-
-	b.mu.Lock()
-	if b.graceTimer != nil {
-		// The run ended some other way (completed, aborted, listener error)
-		// with a grace window pending; don't let it fire into a dead run.
-		b.graceTimer.Stop()
-		b.graceTimer = nil
-	}
-	dead := 0
-	for r, d := range st.deadRank {
-		// Graceful leavers are retired ranks, not failures.
-		if d && !b.leftRank[r] {
-			dead++
-		}
-	}
-	res.FailedRanks = dead
-	res.LeftRanks = len(b.leftRank)
-	res.JoinedRanks = b.procs - cfg.Processes
-	if b.sched != nil {
-		res.StolenTasks += int(b.sched.Stolen())
-	}
-	res.StolenTasks += int(b.stolen)
-	rq := b.requeued
-	if b.sched != nil {
-		rq += b.sched.Requeued()
-	}
-	res.RequeuedTasks += int(rq)
-	stranded := b.stranded
-	left := b.totalLeft
-	b.mu.Unlock()
-
-	if err != nil {
-		return err
-	}
-	if st.aborted.Load() {
-		st.mu.Lock()
-		abortErr := st.abortErr
-		st.mu.Unlock()
-		return abortErr
-	}
-	if stranded != nil {
-		return stranded
-	}
-	if left > 0 {
-		return fmt.Errorf("core: TCP run ended with %d tasks outstanding", left)
-	}
-	return nil
 }
 
 // serveBackend implements cnet.Backend over the run state. All scheduler and
-// array access is serialized under mu: at task granularity the wire traffic
-// is a rounding error next to the optimization work, and serialization keeps
-// the stage barrier (the frozen-input array swap) trivially safe against
-// concurrent parameter reads.
+// array access is serialized under mu: at task granularity the pull and
+// commit traffic is a rounding error next to the optimization work, and
+// serialization keeps the stage barrier (the frozen-input array swap)
+// trivially safe against concurrent parameter reads.
 //
 // Lock order: mu strictly outside st.mu — commit (which takes st.mu and runs
 // the checkpoint hook) is always called with mu released.
@@ -140,8 +124,15 @@ type serveBackend struct {
 	totalLeft int          // uncommitted tasks in the whole run
 	requeued  int64        // folded from retired stage schedulers
 	stolen    int64        // folded from retired stage schedulers
+	dead      []bool       // retired ranks (failed or left); dead for the rest of the run
 	leftRank  map[int]bool // ranks that departed gracefully (not failures)
 	stranded  error
+
+	// gen counts state changes a waiting rank could act on — a commit, a
+	// retire, a stage advance — and changed (on mu) wakes the in-process
+	// ranks blocked in await.
+	gen     uint64
+	changed sync.Cond
 
 	// rejoinGrace is Transport.RejoinGrace: how long an all-dead run waits
 	// for an elastic re-enrollment before stranding. graceTimer is the
@@ -155,11 +146,97 @@ type serveBackend struct {
 
 var _ cnet.Backend = (*serveBackend)(nil)
 
+// newBackend builds the backend for a (possibly resumed) run over st: the
+// scheduler of stage st.stage over the tasks not yet done.
+func newBackend(procs int, st *runState, stages [][]int) *serveBackend {
+	b := &serveBackend{
+		procs:    procs,
+		st:       st,
+		stages:   stages,
+		s:        st.stage,
+		dead:     make([]bool, procs),
+		leftRank: make(map[int]bool),
+		done:     make(chan struct{}),
+	}
+	b.changed.L = &b.mu
+	for _, d := range st.done {
+		if !d {
+			b.totalLeft++
+		}
+	}
+	b.setupStageLocked()
+	if b.totalLeft == 0 {
+		// Nothing to schedule (e.g. a checkpoint taken at the very end):
+		// don't make workers connect for an empty run.
+		b.finish()
+	}
+	return b
+}
+
+// result folds the backend's accounting into res and reports how the run
+// ended: nil on completion, otherwise the abort, stranding or
+// outstanding-work error. Both transports end here.
+func (b *serveBackend) result(res *RunResult, staticProcs int) error {
+	b.mu.Lock()
+	if b.graceTimer != nil {
+		// The run ended some other way (completed, aborted, listener error)
+		// with a grace window pending; don't let it fire into a dead run.
+		b.graceTimer.Stop()
+		b.graceTimer = nil
+	}
+	for r, d := range b.dead {
+		// Graceful leavers are retired ranks, not failures.
+		if d && !b.leftRank[r] {
+			res.FailedRanks++
+		}
+	}
+	res.LeftRanks = len(b.leftRank)
+	res.JoinedRanks = b.procs - staticProcs
+	res.RequeuedTasks, res.StolenTasks = int(b.requeued), int(b.stolen)
+	if b.sched != nil {
+		res.RequeuedTasks += int(b.sched.Requeued())
+		res.StolenTasks += int(b.sched.Stolen())
+	}
+	stranded, left := b.stranded, b.totalLeft
+	b.mu.Unlock()
+
+	if b.st.aborted.Load() {
+		b.st.mu.Lock()
+		defer b.st.mu.Unlock()
+		return b.st.abortErr
+	}
+	if stranded != nil {
+		return stranded
+	}
+	if left > 0 {
+		return fmt.Errorf("core: run ended with %d tasks outstanding", left)
+	}
+	return nil
+}
+
 func (b *serveBackend) Welcome() cnet.RunConfig { return b.welcome }
 
 func (b *serveBackend) Done() <-chan struct{} { return b.done }
 
 func (b *serveBackend) finish() { b.closeOnce.Do(func() { close(b.done) }) }
+
+// changedLocked records a state change and wakes every waiting rank. Caller
+// holds mu.
+func (b *serveBackend) changedLocked() {
+	b.gen++
+	b.changed.Broadcast()
+}
+
+// await blocks until the backend's state moves past generation gen. pull
+// reports gen under the same lock hold as its NextWait verdict, so a change
+// landing between the verdict and the wait is never lost.
+func (b *serveBackend) await(gen uint64) {
+	b.mu.Lock()
+	for b.gen == gen {
+		b.changed.Wait()
+	}
+	b.mu.Unlock()
+}
 
 // setupStageLocked builds the scheduler for stage b.s over the tasks not yet
 // done, excluding ranks that already died. Caller holds mu (or is still
@@ -179,7 +256,7 @@ func (b *serveBackend) setupStageLocked() {
 	}
 	b.stageLeft = remaining
 	b.sched = dtree.NewResumed(dtree.Config{}, b.procs, len(idx), doneSub)
-	for rank, dead := range b.st.deadRank {
+	for rank, dead := range b.dead {
 		if dead {
 			b.sched.Fail(rank)
 		}
@@ -187,10 +264,10 @@ func (b *serveBackend) setupStageLocked() {
 }
 
 // advanceLocked moves to the next stage: the live array becomes the frozen
-// input (the same freezeStage the in-process runtime uses), and a fresh
-// scheduler distributes the next stage's tasks. Caller holds mu, and the
-// caller has established stageLeft == 0 — every task of the finished stage
-// is committed, so no worker can be holding stale stage input.
+// input (freezeStage), and a fresh scheduler distributes the next stage's
+// tasks. Caller holds mu, and the caller has established stageLeft == 0 —
+// every task of the finished stage is committed, so no rank can be holding
+// stale stage input.
 func (b *serveBackend) advanceLocked() {
 	// Fold the retiring scheduler's requeue and steal counts exactly once:
 	// the final accounting adds the live scheduler's counts, so a scheduler
@@ -203,14 +280,15 @@ func (b *serveBackend) advanceLocked() {
 		b.st.freezeStage(b.s)
 		b.setupStageLocked()
 	}
+	b.changedLocked()
 }
 
 // Next implements the task pull. The wait state covers the window where the
 // pool is dry but uncommitted tasks ride on other ranks: if one dies, its
-// tasks requeue and the waiting worker picks them up — the same polling loop
-// the in-process ranks run.
+// tasks requeue and the waiting rank picks them up.
 func (b *serveBackend) Next(rank int) (int, cnet.NextStatus) {
-	return b.pull(rank, false)
+	g, status, _ := b.pull(rank, false)
+	return g, status
 }
 
 // Steal is Next with a fallback: if the rank's own pool (and its ancestor
@@ -218,43 +296,56 @@ func (b *serveBackend) Next(rank int) (int, cnet.NextStatus) {
 // Only pooled tasks move — in-flight work is never duplicated — so the
 // catalog stays byte-identical regardless of who executes what.
 func (b *serveBackend) Steal(rank int) (int, cnet.NextStatus) {
-	return b.pull(rank, true)
+	g, status, _ := b.pull(rank, true)
+	return g, status
 }
 
-func (b *serveBackend) pull(rank int, steal bool) (int, cnet.NextStatus) {
+// pull hands rank its next global task index, advancing the stage when the
+// current one is fully committed. It also returns the state generation its
+// verdict was drawn at, for await.
+func (b *serveBackend) pull(rank int, steal bool) (int, cnet.NextStatus, uint64) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.st.aborted.Load() {
-		b.closeOnce.Do(func() { close(b.done) })
-		return 0, cnet.NextAbort
+		b.finish()
+		return 0, cnet.NextAbort, b.gen
 	}
-	if rank < 0 || rank >= b.procs || b.st.deadRank[rank] {
-		return 0, cnet.NextShutdown
+	if rank < 0 || rank >= b.procs || b.dead[rank] {
+		return 0, cnet.NextShutdown, b.gen
 	}
 	for {
 		if b.s >= len(b.stages) {
-			b.closeOnce.Do(func() { close(b.done) })
-			return 0, cnet.NextShutdown
+			b.finish()
+			return 0, cnet.NextShutdown, b.gen
 		}
 		j, ok := b.sched.Next(rank)
 		if !ok && steal {
 			j, ok = b.sched.Steal(rank)
 		}
 		if ok {
-			return b.idx[j], cnet.NextTask
+			return b.idx[j], cnet.NextTask, b.gen
 		}
 		if b.stageLeft > 0 {
-			return 0, cnet.NextWait
+			return 0, cnet.NextWait, b.gen
 		}
 		b.advanceLocked()
 	}
 }
 
-// Commit finalizes one task exactly once. The done bit and checkpoint hook
+// Commit finalizes one task reported over the wire; see commit.
+func (b *serveBackend) Commit(rank, g int, stats [3]uint64) {
+	b.commit(rank, g, Stats{
+		Fits:        int64(stats[0]),
+		NewtonIters: int64(stats[1]),
+		Visits:      int64(stats[2]),
+	})
+}
+
+// commit finalizes one task exactly once. The done bit and checkpoint hook
 // run via st.commit BEFORE the stage-left counter drops, so the stage cannot
 // advance (and no checkpoint can claim the next stage) until the task is
 // durably committed.
-func (b *serveBackend) Commit(rank, g int, stats [3]uint64) {
+func (b *serveBackend) commit(rank, g int, stats Stats) {
 	b.mu.Lock()
 	j, fresh := b.g2l[g]
 	if fresh {
@@ -264,20 +355,14 @@ func (b *serveBackend) Commit(rank, g int, stats [3]uint64) {
 	if !fresh {
 		return // duplicate or unknown: commits are idempotent
 	}
-	b.st.commit(g, Stats{
-		Fits:        int64(stats[0]),
-		NewtonIters: int64(stats[1]),
-		Visits:      int64(stats[2]),
-	})
+	b.st.commit(g, stats)
 	b.mu.Lock()
 	// A fresh commit implies stageLeft > 0, so the stage (and its
 	// scheduler) cannot have advanced since the g2l lookup.
 	b.sched.Done(rank, j)
 	b.stageLeft--
 	b.totalLeft--
-	if rank >= 0 && rank < len(b.st.completedBy) {
-		b.st.completedBy[rank]++
-	}
+	b.changedLocked()
 	fin := b.totalLeft == 0
 	b.mu.Unlock()
 	if fin {
@@ -287,8 +372,7 @@ func (b *serveBackend) Commit(rank, g int, stats [3]uint64) {
 
 // Fail retires a dead rank: its in-flight tasks and undistributed pool
 // requeue to a live ancestor, and the rank stays dead for the rest of the
-// run — exactly the in-process fault semantics, driven by real connection
-// deaths instead of an injected plan.
+// run. A dropped connection and an injected FaultPlan kill both end here.
 func (b *serveBackend) Fail(rank int) { b.retire(rank, false) }
 
 // Leave retires a rank that announced a graceful departure. The work
@@ -297,28 +381,33 @@ func (b *serveBackend) Fail(rank int) { b.retire(rank, false) }
 // distinguishes churn from crashes.
 func (b *serveBackend) Leave(rank int) { b.retire(rank, true) }
 
+// allDeadLocked reports whether every rank is retired while tasks remain,
+// with no stranding recorded yet. Caller holds mu.
+func (b *serveBackend) allDeadLocked() bool {
+	for _, d := range b.dead {
+		if !d {
+			return false
+		}
+	}
+	return b.totalLeft > 0 && b.stranded == nil
+}
+
 func (b *serveBackend) retire(rank int, graceful bool) {
 	b.mu.Lock()
 	// Bounds check under mu: procs grows when elastic workers join.
-	if rank < 0 || rank >= b.procs || b.st.deadRank[rank] {
+	if rank < 0 || rank >= b.procs || b.dead[rank] {
 		b.mu.Unlock()
 		return
 	}
 	if graceful {
 		b.leftRank[rank] = true
 	}
-	b.st.deadRank[rank] = true
+	b.dead[rank] = true
 	if b.sched != nil {
 		b.sched.Fail(rank)
 	}
-	dead := 0
-	for _, d := range b.st.deadRank {
-		if d {
-			dead++
-		}
-	}
 	fin := false
-	if dead == b.procs && b.totalLeft > 0 && b.stranded == nil {
+	if b.allDeadLocked() {
 		if b.rejoinGrace > 0 {
 			// Every rank is dead but the listener is still open: hold the
 			// run for one bounded window so a worker with rejoin budget can
@@ -329,11 +418,12 @@ func (b *serveBackend) retire(rank int, graceful bool) {
 				b.graceTimer = time.AfterFunc(b.rejoinGrace, b.strandIfStillDead)
 			}
 		} else {
-			b.stranded = fmt.Errorf("core: %d tasks stranded in stage %d: every worker of %d is dead",
+			b.stranded = fmt.Errorf("core: %d tasks stranded in stage %d: every rank of %d is dead",
 				b.totalLeft, b.s, b.procs)
 			fin = true
 		}
 	}
+	b.changedLocked()
 	b.mu.Unlock()
 	if fin {
 		b.finish()
@@ -347,17 +437,10 @@ func (b *serveBackend) retire(rank int, graceful bool) {
 func (b *serveBackend) strandIfStillDead() {
 	b.mu.Lock()
 	b.graceTimer = nil
-	dead := 0
-	for _, d := range b.st.deadRank {
-		if d {
-			dead++
-		}
-	}
-	fin := false
-	if dead == b.procs && b.totalLeft > 0 && b.stranded == nil {
+	fin := b.allDeadLocked()
+	if fin {
 		b.stranded = fmt.Errorf("core: %d tasks stranded in stage %d: every worker of %d is dead and none re-enrolled within %v",
 			b.totalLeft, b.s, b.procs, b.rejoinGrace)
-		fin = true
 	}
 	b.mu.Unlock()
 	if fin {
@@ -404,9 +487,8 @@ func (b *serveBackend) Join() (int, bool) {
 	// cur was replaced: its shard versions restarted, so the delta
 	// baseline is invalid.
 	st.lastCurSnap = nil
-	st.deadRank = append(st.deadRank, false)
-	st.completedBy = append(st.completedBy, 0)
 	st.mu.Unlock()
+	b.dead = append(b.dead, false)
 	rank := b.procs
 	b.procs = newProcs
 	if b.sched != nil {
@@ -420,7 +502,7 @@ func (b *serveBackend) Join() (int, bool) {
 func (b *serveBackend) Get(rank int, idx []uint64, out []float64) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if rank < 0 || rank >= b.procs || b.st.deadRank[rank] {
+	if rank < 0 || rank >= b.procs || b.dead[rank] {
 		return fmt.Errorf("core: rank %d is retired", rank)
 	}
 	w := model.ParamDim
@@ -438,7 +520,7 @@ func (b *serveBackend) Get(rank int, idx []uint64, out []float64) error {
 func (b *serveBackend) Put(rank int, idx []uint64, vals []float64) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if rank < 0 || rank >= b.procs || b.st.deadRank[rank] {
+	if rank < 0 || rank >= b.procs || b.dead[rank] {
 		return fmt.Errorf("core: rank %d is retired", rank)
 	}
 	w := model.ParamDim

@@ -17,21 +17,11 @@ func TestJoinRefusedOnRepartitionError(t *testing.T) {
 	const procs, nSources, nTasks = 2, 4, 2
 	mk := func() (*runState, *serveBackend) {
 		st := &runState{
-			done:        make([]bool, nTasks),
-			deadRank:    make([]bool, procs),
-			completedBy: make([]int, procs),
-			cur:         pgas.New(nSources, model.ParamDim, procs),
+			done: make([]bool, nTasks),
+			cur:  pgas.New(nSources, model.ParamDim, procs),
 		}
 		st.freezeStage(0)
-		b := &serveBackend{
-			procs:     procs,
-			st:        st,
-			stages:    [][]int{{0, 1}},
-			done:      make(chan struct{}),
-			leftRank:  make(map[int]bool),
-			totalLeft: nTasks,
-		}
-		b.setupStageLocked()
+		b := newBackend(procs, st, [][]int{{0, 1}})
 		return st, b
 	}
 
@@ -53,9 +43,8 @@ func TestJoinRefusedOnRepartitionError(t *testing.T) {
 	if b.procs != procs {
 		t.Errorf("refused join grew procs to %d, want %d untouched", b.procs, procs)
 	}
-	if len(st.deadRank) != procs || len(st.completedBy) != procs {
-		t.Errorf("refused join grew rank bookkeeping to %d/%d entries, want %d",
-			len(st.deadRank), len(st.completedBy), procs)
+	if len(b.dead) != procs {
+		t.Errorf("refused join grew rank bookkeeping to %d entries, want %d", len(b.dead), procs)
 	}
 	if got := st.cur.Snapshot().Ranks; got != procs {
 		t.Errorf("refused join repartitioned the live array to %d ranks, want %d", got, procs)

@@ -32,9 +32,10 @@ const (
 )
 
 // Backend is the run state a coordinator serves: task scheduling, the PGAS
-// arrays, and commit bookkeeping. internal/core implements it over the same
-// runState the in-process runtime uses, which is what makes the two runtimes
-// byte-identical — they share everything but the transport.
+// arrays, and commit bookkeeping. internal/core implements it once and its
+// in-process ranks call that same implementation directly, which is what
+// makes TCP and in-process runs byte-identical — they share everything but
+// the transport.
 type Backend interface {
 	// Welcome returns the run parameters advertised to connecting workers.
 	Welcome() RunConfig

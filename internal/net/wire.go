@@ -5,11 +5,11 @@
 // the coordinator that listens, assigns ranks, detects dead workers, and
 // drives the run state owned by internal/core.
 //
-// The goroutine runtime remains the reference implementation. Because every
-// task is a pure function of the frozen stage input (see internal/core), the
-// TCP runtime reproduces the in-process catalog byte-for-byte — the
-// differential oracle the root-level distributed tests enforce, including
-// across worker-process kills and checkpoint resumes.
+// In-process ranks drive the same internal/core backend without the wire.
+// Because every task is a pure function of the frozen stage input (see
+// internal/core), the TCP runtime reproduces the in-process catalog
+// byte-for-byte — the differential oracle the root-level distributed tests
+// enforce, including across worker-process kills and checkpoint resumes.
 //
 // Wire format, little-endian throughout. Every frame is
 //
